@@ -9,6 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from . import closed_form
 from .closed_form import FamilyQuery, construct_coloring, family_graph
 from .graphs import (
     Graph,
@@ -41,12 +42,7 @@ from .verify import SUITES, run_suite
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INDET = 0, 1, 2, 3
 
-FAMILIES = {
-    "path": "path",
-    "cycle": "cycle",
-    "path-corona": "path_corona",
-    "cycle-corona": "cycle_corona",
-}
+FAMILIES = {family.replace("_", "-"): family for family in closed_form.FAMILIES}
 
 
 def _read(path_arg: str) -> str:
@@ -159,8 +155,7 @@ def cmd_verify(args) -> int:
         suites.remove("stretch")
     worst = EXIT_OK
     for sid in suites:
-        result = run_suite(sid, max_n=args.max_n, seed=args.seed,
-                           threads=args.threads)
+        result = run_suite(sid, max_n=args.max_n, seed=args.seed)
         for point in result.points:
             line = f"{point.status} {sid}: {point.point}"
             if point.detail:
@@ -233,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("suite", help="suite id or 'all'")
     ver.add_argument("--max-n", type=int, default=None)
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--threads", type=int, default=1)
     ver.set_defaults(func=cmd_verify)
 
     dot = sub.add_parser("export-dot", help="emit DOT, optionally colored")

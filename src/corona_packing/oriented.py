@@ -5,13 +5,13 @@ decides 2/3/4 exactly: a packing 3-coloring of the whole corona exists iff
 the spine admits a valid 3-coloring leaving no compensated spine
 source/sink (one whose pendant arcs cancel its source/sink role) with an
 uncolorable pendant.  Those obstructions are local to a window of five
-consecutive spine vertices, so feasibility is decided by exact window
-search; every witness is validated against the checker before return.
+consecutive spine vertices, so feasibility is decided by one exact search
+over spine colorings, for every spine length; every witness is validated
+against the checker before return.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -23,7 +23,6 @@ from .graphs import (
     OrientedGraph,
     bipartition,
     corona,
-    cycle,
     orient,
     sources_and_sinks,
     weak_directed_distances,
@@ -386,113 +385,52 @@ def _center_ok(n, fwd, role, comp, col: Callable[[int], int], i: int) -> bool:
     return True
 
 
-def _spine_coloring_search(n, fwd, role, comp, weak_spine) -> Optional[Coloring]:
-    """Lexicographically-first extendable spine 3-coloring, or None."""
-    if n <= 6:
-        return _spine_brute(n, fwd, role, comp, weak_spine)
-    return _spine_window_search(n, fwd, role, comp)
+@lru_cache(maxsize=4096)
+def _cached_spine_search(n, fwd, role, comp) -> Optional[Coloring]:
+    """Lexicographically-first extendable spine 3-coloring, or None.
 
+    Positions are colored in order.  Position j is checked against the
+    pairs and the centre that it completes, and the last position against
+    the seam; every pair rule reads one arc of length <= 3, so the same
+    checks cover both ways round for any n >= 3.  Later checks read only the
+    first and last four colors of a prefix, so a prefix without extension is
+    remembered by those and its length.
+    """
+    span = min(3, n - 1)
+    seam = [(i, s) for s in range(1, span + 1) for i in range(n - s, n)]
+    colors = [0] * n  # positions after the current one stay 0
+    col = colors.__getitem__
 
-def _spine_brute(n, fwd, role, comp, weak) -> Optional[Coloring]:
-    for colors in itertools.product((1, 2, 3), repeat=n):
-        ok = True
-        for u in range(n):
-            for v in range(u + 1, n):
-                if colors[u] != colors[v]:
-                    continue
-                d = weak[u][v]
-                if d is not None and d <= colors[u]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and all(
-            _center_ok(n, fwd, role, comp, colors.__getitem__, i) for i in range(n)
+    def fits(j: int) -> bool:
+        if not all(
+            _pair_ok(n, fwd, role, col, j - s, s) for s in range(1, min(span, j) + 1)
         ):
-            return colors
-    return None
-
-
-def _spine_window_search(n, fwd, role, comp) -> Optional[Coloring]:
-    """Exact search for n >= 7, where all constraints fit 5-vertex windows."""
-
-    def transition_ok(j: int, window: tuple[int, ...]) -> bool:
-        col = lambda idx: window[idx - (j - 4)]
-        return (
-            _pair_ok(n, fwd, role, col, j - 1, 1)
-            and _pair_ok(n, fwd, role, col, j - 2, 2)
-            and _pair_ok(n, fwd, role, col, j - 3, 3)
-            and _center_ok(n, fwd, role, comp, col, j - 2)
-        )
-
-    def closure_ok(seed, state) -> bool:
-        known = dict(enumerate(seed))
-        for t in range(4):
-            known[n - 4 + t] = state[t]
-        col = known.__getitem__
-        pairs = ((n - 1, 1), (n - 2, 2), (n - 1, 2), (n - 3, 3), (n - 2, 3),
-                 (n - 1, 3))
-        if not all(_pair_ok(n, fwd, role, col, i, s) for i, s in pairs):
             return False
-        return all(
+        if j >= 4 and not _center_ok(n, fwd, role, comp, col, j - 2):
+            return False
+        if j < n - 1:
+            return True
+        return all(_pair_ok(n, fwd, role, col, i, s) for i, s in seam) and all(
             _center_ok(n, fwd, role, comp, col, i) for i in (n - 2, n - 1, 0, 1)
         )
 
-    for seed in itertools.product((1, 2, 3), repeat=4):
-        col = lambda idx: seed[idx]
-        if not (
-            _pair_ok(n, fwd, role, col, 0, 1)
-            and _pair_ok(n, fwd, role, col, 1, 1)
-            and _pair_ok(n, fwd, role, col, 2, 1)
-            and _pair_ok(n, fwd, role, col, 0, 2)
-            and _pair_ok(n, fwd, role, col, 1, 2)
-            and _pair_ok(n, fwd, role, col, 0, 3)
-        ):
-            continue
-        colors = list(seed) + [0] * (n - 4)
-        next_c = [1] * (n + 1)
-        dead: set[tuple[int, tuple[int, ...]]] = set()
-        j = 4
-        while j >= 4:
-            if j == n:
-                if closure_ok(seed, tuple(colors[n - 4:])):
-                    return tuple(colors)
-                j -= 1
-                continue
-            state = tuple(colors[j - 4:j])
-            c = next_c[j]
-            advanced = False
-            while c <= 3:
-                window = state + (c,)
-                if transition_ok(j, window) and (
-                    j + 1 == n or (j + 1, window[1:]) not in dead
-                ):
-                    colors[j] = c
-                    next_c[j] = c + 1
-                    next_c[j + 1] = 1
-                    j += 1
-                    advanced = True
-                    break
-                c += 1
-            if not advanced:
-                dead.add((j, state))
-                next_c[j] = 1
-                j -= 1
+    def prefix_key(j: int):
+        return j, tuple(colors[:4]), tuple(colors[max(0, j - 4):j])
+
+    dead = set()
+    j = 0
+    while j >= 0:
+        colors[j] += 1
+        if colors[j] > 3:
+            colors[j] = 0
+            dead.add(prefix_key(j))
+            j -= 1
+        elif fits(j):
+            if j == n - 1:
+                return tuple(colors)
+            if prefix_key(j + 1) not in dead:
+                j += 1
     return None
-
-
-@lru_cache(maxsize=None)
-def _cached_spine_search(n, fwd, role, comp) -> Optional[Coloring]:
-    weak = None
-    if n <= 6:
-        dirs = []
-        for u, v in cycle(n).canonical_edges():
-            if v == u + 1:
-                dirs.append(not fwd[u])
-            else:  # the wrap edge (0, n-1)
-                dirs.append(bool(fwd[n - 1]))
-        weak = weak_directed_distances(orient(cycle(n), dirs)).values
-    return _spine_coloring_search(n, fwd, role, comp, weak)
 
 
 def _extend_spine(og: OrientedGraph, info, spine) -> list[int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Coloring, CoronaLayout, find_corona_conflict
+from .graphs import Coloring, CoronaLayout, GraphError, find_corona_conflict
 
 
 class PatternError(ValueError):
@@ -153,7 +153,7 @@ def is_valid_pattern(
     try:
         layout = pattern_layout(pat, p)
         colors = apply_pattern(pat, len(pat), p, default_pendants)
-    except (PatternError, ValueError):
+    except (PatternError, GraphError):
         return False
     return find_corona_conflict(layout, colors) is None
 

@@ -5,7 +5,6 @@ against the tables, exhaustive orientation sweeps on small coronae."""
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -71,10 +70,10 @@ class SuiteResult:
         return self.failed == 0 and self.indeterminate == 0
 
 
-def _run(suite: str, jobs: list[tuple[str, Callable[[], Optional[str]]]],
-         threads: int = 1) -> SuiteResult:
-    """Run labeled checks; a check returns None (pass), a failure message,
-    or raises.  Reporting order follows the job list regardless of threads."""
+def _run(suite: str,
+         jobs: list[tuple[str, Callable[[], Optional[str]]]]) -> SuiteResult:
+    """Run labeled checks in order; a check returns None (pass), a failure
+    message, or raises."""
 
     def attempt(job):
         label, fn = job
@@ -88,12 +87,7 @@ def _run(suite: str, jobs: list[tuple[str, Callable[[], Optional[str]]]],
             return PointResult(label, INDETERMINATE, detail)
         return PointResult(label, FAIL, detail)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(attempt, jobs))
-    else:
-        points = [attempt(job) for job in jobs]
-    return SuiteResult(suite, points)
+    return SuiteResult(suite, [attempt(job) for job in jobs])
 
 
 def _check_construction(q: FamilyQuery) -> Optional[str]:
@@ -118,8 +112,7 @@ def _check_solver_value(q: FamilyQuery, budget=None) -> Optional[str]:
     return None
 
 
-def _family_suite(suite, family, p_values, ctor_max, solver_max, threads,
-                  solver_ps=None):
+def _family_suite(suite, family, p_values, ctor_max, solver_max, solver_ps=None):
     jobs = []
     n0 = 1 if family.startswith("path") else 3
     for p in p_values:
@@ -132,10 +125,10 @@ def _family_suite(suite, family, p_values, ctor_max, solver_max, threads,
             q = FamilyQuery(family, n, p)
             jobs.append((f"solver n={n} p={p}",
                          lambda q=q: _check_solver_value(q)))
-    return _run(suite, jobs, threads)
+    return _run(suite, jobs)
 
 
-def suite_plain(max_n=None, seed=0, threads=1) -> SuiteResult:
+def suite_plain(max_n=None, seed=0) -> SuiteResult:
     top = max_n or 13
     jobs = []
     for n in range(1, top + 1):
@@ -146,51 +139,51 @@ def suite_plain(max_n=None, seed=0, threads=1) -> SuiteResult:
         q = FamilyQuery("cycle", n)
         jobs.append((f"cycle n={n}", lambda q=q: _check_construction(q)))
         jobs.append((f"cycle solver n={n}", lambda q=q: _check_solver_value(q)))
-    return _run("plain", jobs, threads)
+    return _run("plain", jobs)
 
 
-def suite_CrPn(max_n=None, seed=0, threads=1) -> SuiteResult:
-    return _family_suite("CrPn", "path_corona", (1,), max_n or 40, 12, threads)
+def suite_CrPn(max_n=None, seed=0) -> SuiteResult:
+    return _family_suite("CrPn", "path_corona", (1,), max_n or 40, 12)
 
 
-def suite_CrCn(max_n=None, seed=0, threads=1) -> SuiteResult:
-    return _family_suite("CrCn", "cycle_corona", (1,), max_n or 40, 8, threads)
+def suite_CrCn(max_n=None, seed=0) -> SuiteResult:
+    return _family_suite("CrCn", "cycle_corona", (1,), max_n or 40, 8)
 
 
-def suite_Pn2K1(max_n=None, seed=0, threads=1) -> SuiteResult:
-    return _family_suite("Pn2K1", "path_corona", (2,), max_n or 40, 12, threads)
+def suite_Pn2K1(max_n=None, seed=0) -> SuiteResult:
+    return _family_suite("Pn2K1", "path_corona", (2,), max_n or 40, 12)
 
 
-def suite_Pn3K1(max_n=None, seed=0, threads=1) -> SuiteResult:
-    return _family_suite("Pn3K1", "path_corona", (3,), max_n or 40, 10, threads)
+def suite_Pn3K1(max_n=None, seed=0) -> SuiteResult:
+    return _family_suite("Pn3K1", "path_corona", (3,), max_n or 40, 10)
 
 
-def suite_PnpK1(max_n=None, seed=0, threads=1) -> SuiteResult:
+def suite_PnpK1(max_n=None, seed=0) -> SuiteResult:
     return _family_suite("PnpK1", "path_corona", (4, 5, 6), max_n or 40, 7,
-                         threads, solver_ps=(4,))
+                         solver_ps=(4,))
 
 
-def suite_Cn2K1(max_n=None, seed=0, threads=1) -> SuiteResult:
-    return _family_suite("Cn2K1", "cycle_corona", (2,), max_n or 40, 7, threads)
+def suite_Cn2K1(max_n=None, seed=0) -> SuiteResult:
+    return _family_suite("Cn2K1", "cycle_corona", (2,), max_n or 40, 7)
 
 
-def suite_Cn3K1(max_n=None, seed=0, threads=1) -> SuiteResult:
-    result = _family_suite("Cn3K1", "cycle_corona", (3,), max_n or 45, 7, threads)
+def suite_Cn3K1(max_n=None, seed=0) -> SuiteResult:
+    result = _family_suite("Cn3K1", "cycle_corona", (3,), max_n or 45, 7)
     jobs = []
     for n in sorted(cf.CYCLE_P3_EXCEPTIONS | {92, 105, 119}):
         q = FamilyQuery("cycle_corona", n, 3)
         jobs.append((f"construct exception n={n}",
                      lambda q=q: _check_construction(q)))
-    result.points.extend(_run("Cn3K1", jobs, threads).points)
+    result.points.extend(_run("Cn3K1", jobs).points)
     return result
 
 
-def suite_Cn4K1(max_n=None, seed=0, threads=1) -> SuiteResult:
+def suite_Cn4K1(max_n=None, seed=0) -> SuiteResult:
     return _family_suite("Cn4K1", "cycle_corona", (4, 5, 6), max_n or 40, 7,
-                         threads, solver_ps=(4,))
+                         solver_ps=(4,))
 
 
-def suite_table1(max_n=None, seed=0, threads=1) -> SuiteResult:
+def suite_table1(max_n=None, seed=0) -> SuiteResult:
     jobs = []
     pats = {n: parse_pattern(f"[{text}]") for n, text in cf.TABLE1.items()}
     for n, pat in sorted(pats.items()):
@@ -207,10 +200,10 @@ def suite_table1(max_n=None, seed=0, threads=1) -> SuiteResult:
                     pa, Pattern(pb.tokens), 3, cf.TABLE1_DEFAULTS)
                 else "incompatible",
             ))
-    return _run("table1", jobs, threads)
+    return _run("table1", jobs)
 
 
-def suite_patterns(max_n=None, seed=0, threads=1) -> SuiteResult:
+def suite_patterns(max_n=None, seed=0) -> SuiteResult:
     jobs = []
     for name, text, p, defaults in cf.pattern_registry():
         pat = parse_pattern(text)
@@ -231,10 +224,10 @@ def suite_patterns(max_n=None, seed=0, threads=1) -> SuiteResult:
             if is_compatible(base, Pattern(base.tokens), p, defaults)
             else "not self-compatible",
         ))
-    return _run("patterns", jobs, threads)
+    return _run("patterns", jobs)
 
 
-def suite_forced(max_n=None, seed=0, threads=1) -> SuiteResult:
+def suite_forced(max_n=None, seed=0) -> SuiteResult:
     jobs = []
     grid = [("path_corona", n, p) for n in (3, 4, 5) for p in (1, 2, 3)]
     grid += [("cycle_corona", n, p) for n in (3, 4, 5) for p in (1, 2)]
@@ -258,10 +251,10 @@ def suite_forced(max_n=None, seed=0, threads=1) -> SuiteResult:
     for family, n, p in grid:
         jobs.append((f"{family} n={n} p={p}",
                      lambda f=family, n=n, p=p: check(f, n, p)))
-    return _run("forced", jobs, threads)
+    return _run("forced", jobs)
 
 
-def suite_caterpillar_bound(max_n=None, seed=0, threads=1) -> SuiteResult:
+def suite_caterpillar_bound(max_n=None, seed=0) -> SuiteResult:
     jobs = []
     for p in (4, 5, 6):
         for n in range(1, (max_n or 60) + 1):
@@ -273,10 +266,10 @@ def suite_caterpillar_bound(max_n=None, seed=0, threads=1) -> SuiteResult:
                     return f"caterpillar bound {cap} exceeded"
                 return _check_construction(q)
             jobs.append((f"n={n} p={p}", check))
-    return _run("caterpillar-bound", jobs, threads)
+    return _run("caterpillar-bound", jobs)
 
 
-def suite_orPn(max_n=None, seed=0, threads=1) -> SuiteResult:
+def suite_orPn(max_n=None, seed=0) -> SuiteResult:
     jobs = []
     for n in range(1, (max_n or 10) + 1):
         def check(n=n):
@@ -294,10 +287,10 @@ def suite_orPn(max_n=None, seed=0, threads=1) -> SuiteResult:
                     return "two-characterization mismatch"
             return None
         jobs.append((f"n={n}", check))
-    return _run("orPn", jobs, threads)
+    return _run("orPn", jobs)
 
 
-def suite_orCn(max_n=None, seed=0, threads=1) -> SuiteResult:
+def suite_orCn(max_n=None, seed=0) -> SuiteResult:
     jobs = []
     for n in range(3, (max_n or 10) + 1):
         def check(n=n):
@@ -311,10 +304,10 @@ def suite_orCn(max_n=None, seed=0, threads=1) -> SuiteResult:
                     return f"value {value} but solver {truth.value}"
             return None
         jobs.append((f"n={n}", check))
-    return _run("orCn", jobs, threads)
+    return _run("orCn", jobs)
 
 
-def suite_orPnpK1(max_n=None, seed=0, threads=1) -> SuiteResult:
+def suite_orPnpK1(max_n=None, seed=0) -> SuiteResult:
     jobs = []
     for n, p in ((1, 1), (2, 1), (3, 1), (2, 2), (3, 2)):
         def check(n=n, p=p):
@@ -346,10 +339,10 @@ def suite_orPnpK1(max_n=None, seed=0, threads=1) -> SuiteResult:
                 return "property (P) broken"
             return None
         jobs.append((f"random trial={trial} n={n} p={p}", check_random))
-    return _run("orPnpK1", jobs, threads)
+    return _run("orPnpK1", jobs)
 
 
-def suite_orCnpK1(max_n=None, seed=0, threads=1) -> SuiteResult:
+def suite_orCnpK1(max_n=None, seed=0) -> SuiteResult:
     jobs = []
     grid = [(n, 1) for n in range(3, (max_n or 5) + 1)] + [(3, 2)]
 
@@ -368,10 +361,10 @@ def suite_orCnpK1(max_n=None, seed=0, threads=1) -> SuiteResult:
 
     for n, p in grid:
         jobs.append((f"exhaustive n={n} p={p}", lambda n=n, p=p: check(n, p)))
-    return _run("orCnpK1", jobs, threads)
+    return _run("orCnpK1", jobs)
 
 
-def suite_orTree(max_n=None, seed=0, threads=1) -> SuiteResult:
+def suite_orTree(max_n=None, seed=0) -> SuiteResult:
     rng = random.Random(seed)
     jobs = []
     for trial in range(100):
@@ -391,10 +384,10 @@ def suite_orTree(max_n=None, seed=0, threads=1) -> SuiteResult:
                 return "property (P) broken"
             return None
         jobs.append((f"trial={trial} n={nv}", check))
-    return _run("orTree", jobs, threads)
+    return _run("orTree", jobs)
 
 
-def suite_scp(max_n=None, seed=0, threads=1) -> SuiteResult:
+def suite_scp(max_n=None, seed=0) -> SuiteResult:
     rng = random.Random(seed)
     jobs = []
     for trial in range(200):
@@ -417,10 +410,10 @@ def suite_scp(max_n=None, seed=0, threads=1) -> SuiteResult:
                 return "SCP output conflicts on the path"
             return None
         jobs.append((f"trial={trial} n={n} |S|={len(s)}", check))
-    return _run("scp", jobs, threads)
+    return _run("scp", jobs)
 
 
-def suite_subgraph(max_n=None, seed=0, threads=1) -> SuiteResult:
+def suite_subgraph(max_n=None, seed=0) -> SuiteResult:
     rng = random.Random(seed)
     jobs = []
     for trial in range(150):
@@ -437,10 +430,10 @@ def suite_subgraph(max_n=None, seed=0, threads=1) -> SuiteResult:
                 return f"{sub} exceeds {host}"
             return None
         jobs.append((f"trial={trial}", check))
-    return _run("subgraph", jobs, threads)
+    return _run("subgraph", jobs)
 
 
-def suite_orientation_bound(max_n=None, seed=0, threads=1) -> SuiteResult:
+def suite_orientation_bound(max_n=None, seed=0) -> SuiteResult:
     rng = random.Random(seed)
     jobs = []
     for trial in range(60):
@@ -460,10 +453,10 @@ def suite_orientation_bound(max_n=None, seed=0, threads=1) -> SuiteResult:
                 return f"oriented {res.value} exceeds undirected {pcn_closed_form(q)}"
             return None
         jobs.append((f"trial={trial} {family} n={n} p={p}", check))
-    return _run("orientation-bound", jobs, threads)
+    return _run("orientation-bound", jobs)
 
 
-def suite_stretch(max_n=None, seed=0, threads=1) -> SuiteResult:
+def suite_stretch(max_n=None, seed=0) -> SuiteResult:
     budget = SearchBudget(node_limit=2 * 10**8)
     jobs = []
 
@@ -490,7 +483,7 @@ def suite_stretch(max_n=None, seed=0, threads=1) -> SuiteResult:
         "P35 corona p4 seven-coloring",
         lambda: _check_construction(FamilyQuery("path_corona", 35, 4)),
     ))
-    return _run("stretch", jobs, threads)
+    return _run("stretch", jobs)
 
 
 SUITES: dict[str, Callable[..., SuiteResult]] = {
@@ -519,7 +512,7 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 }
 
 
-def run_suite(suite_id: str, max_n=None, seed=0, threads=1) -> SuiteResult:
+def run_suite(suite_id: str, max_n=None, seed=0) -> SuiteResult:
     if suite_id not in SUITES:
         raise KeyError(f"unknown suite {suite_id!r}; known: {sorted(SUITES)}")
-    return SUITES[suite_id](max_n=max_n, seed=seed, threads=threads)
+    return SUITES[suite_id](max_n=max_n, seed=seed)

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from conftest import random_orientation, random_tree
 from corona_packing.graphs import (
+    UNREACHABLE,
     Graph,
     GraphError,
     corona,
@@ -16,6 +19,8 @@ from corona_packing.graphs import (
 from corona_packing.oriented import (
     OrientedClassification,
     ScpConfig,
+    _cached_spine_search,
+    _center_ok,
     classify_oriented_cycle_corona,
     color_oriented_path_corona,
     color_oriented_tree,
@@ -355,3 +360,68 @@ def test_classify_large_instances(rng):
         og = random_orientation(rng, corona("cycle", n, 2))
         cls, witness = classify_oriented_cycle_corona(og)
         assert len(set(witness)) == cls.value
+
+
+def spine_structures(n):
+    """Every (fwd, role, comp) of a non-directed oriented spine C_n:
+    fwd[i] says x_i -> x_{i+1}; any source or sink may be compensated."""
+    for fwd in itertools.product((False, True), repeat=n):
+        if len(set(fwd)) == 1:
+            continue
+        role = []
+        for i in range(n):
+            into, outof = fwd[i - 1], fwd[i]
+            if outof and not into:
+                role.append("source")
+            elif into and not outof:
+                role.append("sink")
+            else:
+                role.append("internal")
+        ends = [i for i in range(n) if role[i] != "internal"]
+        for bits in itertools.product((False, True), repeat=len(ends)):
+            comp = [False] * n
+            for i, bit in zip(ends, bits):
+                comp[i] = bit
+            yield fwd, tuple(role), tuple(comp)
+
+
+def brute_spine(n, fwd, role, comp):
+    """Reference: lexicographically first spine 3-coloring that is a packing
+    coloring under the weak distances of the oriented spine cycle and passes
+    every compensated-centre rule."""
+    dirs = []
+    for u, v in cycle(n).canonical_edges():
+        dirs.append(not fwd[u] if v == u + 1 else fwd[n - 1])
+    weak = weak_directed_distances(orient(cycle(n), dirs)).values
+    for colors in itertools.product((1, 2, 3), repeat=n):
+        if any(
+            colors[u] == colors[v]
+            and weak[u][v] is not UNREACHABLE
+            and weak[u][v] <= colors[u]
+            for u in range(n)
+            for v in range(u + 1, n)
+        ):
+            continue
+        if all(_center_ok(n, fwd, role, comp, colors.__getitem__, i) for i in range(n)):
+            return colors
+    return None
+
+
+def test_spine_search_matches_brute_force():
+    count = 0
+    for n in range(3, 8):
+        for fwd, role, comp in spine_structures(n):
+            want = brute_spine(n, fwd, role, comp)
+            assert _cached_spine_search(n, fwd, role, comp) == want, (n, fwd, comp)
+            count += 1
+    assert count == 3256
+
+
+def test_classify_long_cycle_corona(rng):
+    # the spine search must stay iterative: this spine is longer than the
+    # default recursion limit
+    og = random_orientation(rng, corona("cycle", 1100, 1))
+    assert not is_pcn_two(og)
+    cls, witness = classify_oriented_cycle_corona(og)
+    assert len(set(witness)) == cls.value
+    assert is_packing_coloring(weak_directed_distances(og), witness)

@@ -119,6 +119,15 @@ def test_is_valid_pattern_examples():
     assert is_valid_pattern(parse_pattern("[1(24)3251(24)3267]"), 2)
 
 
+def test_is_valid_pattern_does_not_hide_internal_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr("corona_packing.patterns.apply_pattern", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        is_valid_pattern(parse_pattern("[23425324678]"), 4)
+
+
 def test_is_compatible_examples():
     u = parse_pattern("[23425367]")
     v = parse_pattern("2342532467")
