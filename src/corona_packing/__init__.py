@@ -54,6 +54,7 @@ from .solver import (
     PcnResult,
     SearchBudget,
     SearchResult,
+    SearchStats,
     count_packing_k_colorings,
     exists_packing_k_coloring,
     first_packing_conflict,

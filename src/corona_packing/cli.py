@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import closed_form
@@ -41,6 +43,8 @@ from .textio import (
 from .verify import SUITES, run_suite
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INDET = 0, 1, 2, 3
+# largest graph file accepted; pcn, check and export-dot are O(V^2) in memory
+MAX_VERTICES = 5000
 
 FAMILIES = {family.replace("_", "-"): family for family in closed_form.FAMILIES}
 
@@ -49,6 +53,15 @@ def _read(path_arg: str) -> str:
     if path_arg == "-":
         return sys.stdin.read()
     return Path(path_arg).read_text()
+
+
+def _read_graph(path_arg: str) -> Graph | OrientedGraph:
+    g = parse_graph(_read(path_arg))
+    if g.vertex_count > MAX_VERTICES:
+        raise ValueError(
+            f"graph has {g.vertex_count} vertices; the limit is {MAX_VERTICES}"
+        )
+    return g
 
 
 def _build_graph(args) -> Graph | OrientedGraph:
@@ -72,13 +85,17 @@ def cmd_gen(args) -> int:
 
 
 def cmd_pcn(args) -> int:
-    g = parse_graph(_read(args.graph))
-    dm = weak_directed_distances(g) if isinstance(g, OrientedGraph) else distances(g)
+    start = time.perf_counter()
     budget = SearchBudget(
         max_color=args.max_color,
         node_limit=args.node_limit,
         time_limit=args.time_limit,
     )
+    g = _read_graph(args.graph)
+    dm = weak_directed_distances(g) if isinstance(g, OrientedGraph) else distances(g)
+    if budget.time_limit is not None:  # the limit covers reading and distances too
+        spent = time.perf_counter() - start
+        budget = replace(budget, time_limit=max(0.0, budget.time_limit - spent))
     res = packing_chromatic_number(dm, budget)
     if res.outcome is not Outcome.YES:
         print("INDETERMINATE: search budget exhausted")
@@ -89,7 +106,7 @@ def cmd_pcn(args) -> int:
 
 
 def cmd_check(args) -> int:
-    g = parse_graph(_read(args.graph))
+    g = _read_graph(args.graph)
     coloring = parse_coloring(_read(args.coloring), g.vertex_count)
     dm = weak_directed_distances(g) if isinstance(g, OrientedGraph) else distances(g)
     conflict = first_packing_conflict(dm, coloring)
@@ -105,7 +122,7 @@ def cmd_color(args) -> int:
     if args.family == "tree":
         if not args.oriented or not args.input:
             raise ValueError("tree coloring needs --oriented and --input FILE")
-        g = parse_graph(_read(args.input))
+        g = _read_graph(args.input)
         if not isinstance(g, OrientedGraph):
             raise ValueError("tree input must be an oriented graph file")
         sys.stdout.write(format_coloring(color_oriented_tree(g)))
@@ -173,7 +190,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    g = parse_graph(_read(args.graph))
+    g = _read_graph(args.graph)
     coloring = None
     if args.coloring:
         coloring = parse_coloring(_read(args.coloring), g.vertex_count)

@@ -27,15 +27,11 @@ from .graphs import (
     sources_and_sinks,
     weak_directed_distances,
 )
-from .solver import first_packing_conflict
+from .solver import WitnessError, first_packing_conflict
 
 REASONS_2 = ("bipartite-sources-sinks",)
 REASONS_3 = ("generic-3",)
 REASONS_4 = ("directed-cycle-bad-length", "figure7-config", "condition-2-3")
-
-
-class WitnessError(RuntimeError):
-    """A constructed coloring failed validation; never silently ignored."""
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .graphs import Coloring, DistanceMatrix, UNREACHABLE
@@ -21,15 +22,35 @@ class Outcome(enum.Enum):
     INDETERMINATE = "INDETERMINATE"
 
 
+class WitnessError(RuntimeError):
+    """A constructed coloring failed validation; never silently ignored."""
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     max_color: Optional[int] = None  # cap for pcn deepening; None = vertex count
-    node_limit: Optional[int] = 10**9
-    time_limit: Optional[float] = None  # seconds
+    node_limit: Optional[int] = 10**9  # per search, that is per k
+    time_limit: Optional[float] = None  # seconds for the whole call; 0 = spent
 
     def __post_init__(self):
         if self.max_color is not None and self.max_color < 1:
             raise ValueError("max_color must be >= 1")
+        for name in ("node_limit", "time_limit"):
+            if getattr(self, name) is not None and getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+
+
+@dataclass(frozen=True)
+class SearchStats:
+    """Work of one call: nodes for each k searched, as (k, nodes) pairs;
+    seconds outside the search (order, balls, twin classes, greedy bound)
+    and inside it; and the twin classes of two or more vertices that the
+    search broke symmetry over."""
+
+    nodes_per_k: tuple[tuple[int, int], ...] = ()
+    setup_s: float = 0.0
+    search_s: float = 0.0
+    twin_classes: int = 0
 
 
 @dataclass(frozen=True)
@@ -37,6 +58,7 @@ class SearchResult:
     outcome: Outcome
     witness: Optional[Coloring] = None
     nodes: int = 0
+    stats: SearchStats = SearchStats()
 
 
 @dataclass(frozen=True)
@@ -44,6 +66,7 @@ class CountResult:
     outcome: Outcome
     count: Optional[int] = None
     nodes: int = 0
+    stats: SearchStats = SearchStats()
 
 
 @dataclass(frozen=True)
@@ -52,6 +75,7 @@ class PcnResult:
     value: Optional[int] = None
     witness: Optional[Coloring] = None
     nodes: int = 0
+    stats: SearchStats = SearchStats()
 
 
 def is_packing_coloring(dm: DistanceMatrix, coloring: Coloring) -> bool:
@@ -79,126 +103,152 @@ def first_packing_conflict(
     return None
 
 
-class _Searcher:
-    """Backtracking core shared by decision, optimization and counting."""
+def _ring(row, c: int) -> int:
+    """Bitmask of the positions of row that hold exactly c."""
+    mask, i = 0, -1
+    for _ in range(row.count(c)):
+        i = row.index(c, i + 1)
+        mask |= 1 << i
+    return mask
 
-    def __init__(self, dm: DistanceMatrix, k: int, budget: SearchBudget,
-                 counting: bool = False):
-        self.dm = dm
-        self.k = k
-        self.counting = counting
+
+def _is_twin(ru, rv, u: int, v: int) -> bool:
+    """Rows of u < v agree everywhere off the pair."""
+    return (ru[:u] == rv[:u] and ru[u + 1:v] == rv[u + 1:v]
+            and ru[v + 1:] == rv[v + 1:])
+
+
+class _Setup:
+    """Search set-up for one distance matrix, shared by every k of a call:
+    degree order, balls grown ring by ring as k rises, twin predecessors,
+    and one deadline that starts on entry."""
+
+    def __init__(self, dm: DistanceMatrix, budget: SearchBudget):
+        self.start = time.perf_counter()
+        self.deadline = None if budget.time_limit is None else (
+            self.start + budget.time_limit)
         self.node_limit = budget.node_limit
-        self.deadline = (
-            time.monotonic() + budget.time_limit if budget.time_limit else None
-        )
-        nv = dm.vertex_count
-        degree = [
-            sum(1 for d in dm.values[v] if d == 1) for v in range(nv)
-        ]
-        self.order = sorted(range(nv), key=lambda v: (-degree[v], v))
-        self.pos = [0] * nv
-        for idx, v in enumerate(self.order):
-            self.pos[v] = idx
-        # ball[c][v]: bitmask of vertices within distance c of v (v excluded)
-        self.balls = [
-            [self._ball(v, c) for v in range(nv)] for c in range(k + 1)
-        ]
-        self.twin_pred = self._twin_predecessors() if not counting else [None] * nv
-        self.nodes = 0
-        self.exhausted = False
+        self.rows = dm.values
+        # highest degree first; the stable sort breaks ties by vertex index
+        self.order = sorted(range(len(self.rows)), key=lambda v: -self.rows[v].count(1))
+        self.balls = [[0] for _ in self.rows]  # balls[v][c]
+        self.twin_classes = self.nodes = 0
+        self.nodes_per_k: list[tuple[int, int]] = []
+        self.search_s = 0.0
 
-    def _ball(self, v: int, c: int) -> int:
-        mask = 0
-        for w, d in enumerate(self.dm.values[v]):
-            if w != v and d is not UNREACHABLE and d <= c:
-                mask |= 1 << w
-        return mask
+    def expired(self) -> bool:
+        return self.deadline is not None and time.perf_counter() >= self.deadline
 
-    def _twin_predecessors(self) -> list[Optional[int]]:
+    def stats(self) -> SearchStats:
+        setup_s = time.perf_counter() - self.start - self.search_s
+        return SearchStats(tuple(self.nodes_per_k), setup_s, self.search_s,
+                           self.twin_classes)
+
+    def ball(self, v: int, c: int) -> int:
+        """Vertices within distance c of v (v excluded): ball[c-1] | ring[c]."""
+        balls = self.balls[v]
+        while len(balls) <= c:
+            balls.append(balls[-1] | _ring(self.rows[v], len(balls)))
+        return balls[c]
+
+    @cached_property
+    def twin_pred(self) -> list[Optional[int]]:
         """For each vertex, an earlier interchangeable twin in search order.
 
         A twin class has pairwise-equal distance rows off the pair and one
         uniform internal distance, so any color permutation inside it is a
         distance automorphism; forcing nondecreasing colors along the class
         is a sound symmetry break for decision searches (never counting).
+        Twins of a symmetric matrix with zero diagonal (both distance
+        builders give one) have equal sorted rows, so the confirming scan
+        runs inside those buckets; elsewhere a bucket can only hide twins.
         """
-        nv = self.dm.vertex_count
-        unset = object()
-        classes: list[list] = []  # [members, internal distance]
-        for v in range(nv):
+        rows, unset = self.rows, object()
+        buckets: dict[tuple, list[list]] = {}  # [members, internal distance]
+        for v, rv in enumerate(rows):
+            if self.expired():  # no search follows; stop rather than overrun
+                break
+            classes = buckets.setdefault(tuple(sorted(filter(None, rv))), [])
             for entry in classes:
                 members, dist = entry
-                d = self.dm.values[members[0]][v]
+                d = rows[members[0]][v]
                 if dist is not unset and d != dist:
                     continue
-                if all(
-                    self._is_twin(w, v) and self.dm.values[w][v] == d
-                    for w in members
-                ):
+                if all(_is_twin(rows[w], rv, w, v) and rows[w][v] == d
+                       for w in members):
                     members.append(v)
                     entry[1] = d
                     break
             else:
                 classes.append([[v], unset])
-        pred: list[Optional[int]] = [None] * nv
-        for members, _ in classes:
-            members.sort(key=lambda v: self.pos[v])
-            for a, b in zip(members, members[1:]):
-                pred[b] = a
+        pos = {v: idx for idx, v in enumerate(self.order)}
+        pred: list[Optional[int]] = [None] * len(rows)
+        for classes in buckets.values():
+            for members, _ in classes:
+                self.twin_classes += len(members) > 1
+                members.sort(key=pos.__getitem__)
+                for a, b in zip(members, members[1:]):
+                    pred[b] = a
         return pred
 
-    def _is_twin(self, u: int, v: int) -> bool:
-        ru, rv = self.dm.values[u], self.dm.values[v]
-        for w in range(self.dm.vertex_count):
-            if w == u or w == v:
-                continue
-            if ru[w] != rv[w]:
-                return False
-        return True
+    def greedy(self) -> tuple[int, Coloring]:
+        """Smallest conflict-free color for each vertex in search order."""
+        colors = [0] * len(self.order)
+        used = [0]  # used[c]: bitmask of the vertices colored c so far
+        for v in self.order:
+            c = 1
+            while c < len(used) and used[c] & self.ball(v, c):
+                c += 1
+            if c == len(used):
+                used.append(0)
+            used[c] |= 1 << v
+            colors[v] = c
+        return max(colors), tuple(colors)
 
-    def _tick(self) -> bool:
-        self.nodes += 1
-        if self.node_limit is not None and self.nodes > self.node_limit:
-            self.exhausted = True
-            return False
-        if self.deadline is not None and self.nodes % 4096 == 0:
-            if time.monotonic() > self.deadline:
-                self.exhausted = True
-                return False
-        return True
-
-    def run(self):
-        nv = self.dm.vertex_count
+    def search(self, k: int, counting: bool = False):
+        """(count, first witness, exhausted) over colors <= k; a decision
+        search stops at its first coloring and breaks twin symmetry."""
+        for v in self.order:
+            self.ball(v, k)
+        twin_pred = [None] * len(self.order) if counting else self.twin_pred
+        if self.expired():
+            return 0, None, True
+        order, balls, nv = self.order, self.balls, len(self.order)
+        node_limit, deadline = self.node_limit, self.deadline
         colors = [0] * nv
-        forbidden = [0] * (self.k + 1)  # per color, bitmask of blocked vertices
-        full = (1 << nv) - 1
-        count = 0
+        forbidden = [0] * (k + 1)  # per color, bitmask of blocked vertices
+        count = nodes = 0
         witness: Optional[Coloring] = None
+        exhausted = False
 
         def rec(idx: int, uncolored: int):
-            nonlocal count, witness
+            nonlocal count, nodes, witness, exhausted
             if idx == nv:
                 count += 1
                 if witness is None:
                     witness = tuple(colors)
-                return not self.counting
-            v = self.order[idx]
+                return not counting
+            v = order[idx]
             bit = 1 << v
             lo = 1
-            tp = self.twin_pred[v]
+            tp = twin_pred[v]
             if tp is not None and colors[tp]:
                 lo = colors[tp]
-            for c in range(lo, self.k + 1):
-                if (forbidden[c] >> v) & 1:
+            for c in range(lo, k + 1):
+                if forbidden[c] & bit:
                     continue
-                if not self._tick():
+                nodes += 1
+                if (node_limit is not None and nodes > node_limit) or (
+                        deadline is not None and nodes % 4096 == 0
+                        and time.perf_counter() >= deadline):
+                    exhausted = True
                     return True
                 colors[v] = c
                 saved = forbidden[c]
-                forbidden[c] = saved | self.balls[c][v]
+                forbidden[c] = saved | balls[v][c]
                 rest = uncolored & ~bit
                 dead = rest  # uncolored vertices with no admissible color
-                for cc in range(1, self.k + 1):
+                for cc in range(1, k + 1):
                     dead &= forbidden[cc]
                     if not dead:
                         break
@@ -209,12 +259,24 @@ class _Searcher:
                         return True
                 forbidden[c] = saved
                 colors[v] = 0
-                if self.exhausted:
+                if exhausted:
                     return True
             return False
 
-        rec(0, full)
-        return count, witness
+        t0 = time.perf_counter()
+        rec(0, (1 << nv) - 1)
+        self.search_s += time.perf_counter() - t0
+        self.nodes += nodes
+        self.nodes_per_k.append((k, nodes))
+        return count, witness, exhausted
+
+
+def _validated(dm: DistanceMatrix, witness: Coloring) -> Coloring:
+    """The witness, after an explicit packing check that -O keeps."""
+    conflict = first_packing_conflict(dm, witness)
+    if conflict is not None:
+        raise WitnessError(f"search returned an invalid coloring: {conflict}")
+    return witness
 
 
 def exists_packing_k_coloring(
@@ -223,55 +285,45 @@ def exists_packing_k_coloring(
     """Complete backtracking search for a packing k-coloring."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    budget = budget or SearchBudget()
-    searcher = _Searcher(dm, k, budget)
-    count, witness = searcher.run()
-    if searcher.exhausted:
-        return SearchResult(Outcome.INDETERMINATE, None, searcher.nodes)
+    setup = _Setup(dm, budget or SearchBudget())
+    count, witness, exhausted = setup.search(k)
+    stats = setup.stats()
+    if exhausted:
+        return SearchResult(Outcome.INDETERMINATE, None, setup.nodes, stats)
     if count:
-        assert witness is not None and is_packing_coloring(dm, witness)
-        return SearchResult(Outcome.YES, witness, searcher.nodes)
-    return SearchResult(Outcome.NO, None, searcher.nodes)
+        return SearchResult(Outcome.YES, _validated(dm, witness), setup.nodes, stats)
+    return SearchResult(Outcome.NO, None, setup.nodes, stats)
 
 
 def greedy_upper_bound(dm: DistanceMatrix) -> tuple[int, Coloring]:
     """Greedy coloring in the search order; seeds iterative deepening."""
-    nv = dm.vertex_count
-    degree = [sum(1 for d in dm.values[v] if d == 1) for v in range(nv)]
-    order = sorted(range(nv), key=lambda v: (-degree[v], v))
-    colors = [0] * nv
-    for v in order:
-        c = 1
-        while any(
-            colors[w] == c and dm.values[v][w] is not UNREACHABLE
-            and dm.values[v][w] <= c
-            for w in range(nv) if w != v
-        ):
-            c += 1
-        colors[v] = c
-    return max(colors), tuple(colors)
+    return _Setup(dm, SearchBudget()).greedy()
 
 
 def packing_chromatic_number(
     dm: DistanceMatrix, budget: Optional[SearchBudget] = None
 ) -> PcnResult:
-    """Smallest k with a packing k-coloring, with a validated witness."""
+    """Smallest k with a packing k-coloring, with a validated witness.
+
+    One set-up serves every k.  The time limit covers the whole call, the
+    greedy bound and set-up included; node_limit applies to each k.
+    """
     budget = budget or SearchBudget()
-    ub, greedy = greedy_upper_bound(dm)
-    cap = budget.max_color if budget.max_color is not None else max(
-        ub, dm.vertex_count
-    )
-    nodes = 0
-    for k in range(1, min(ub, cap) + 1):
-        if k == ub:
-            return PcnResult(Outcome.YES, ub, greedy, nodes)
-        res = exists_packing_k_coloring(dm, k, budget)
-        nodes += res.nodes
-        if res.outcome is Outcome.YES:
-            return PcnResult(Outcome.YES, k, res.witness, nodes)
-        if res.outcome is Outcome.INDETERMINATE:
-            return PcnResult(Outcome.INDETERMINATE, None, None, nodes)
-    return PcnResult(Outcome.INDETERMINATE, None, None, nodes)
+    setup = _Setup(dm, budget)
+    if setup.expired():
+        return PcnResult(Outcome.INDETERMINATE, stats=setup.stats())
+    ub, witness = setup.greedy()
+    for k in range(1, min(ub, budget.max_color or ub) + 1):
+        if k < ub:  # at k == ub the greedy coloring is the witness
+            count, found, exhausted = setup.search(k)
+            if exhausted:
+                break
+            if not count:
+                continue
+            witness = found
+        stats = setup.stats()
+        return PcnResult(Outcome.YES, k, _validated(dm, witness), setup.nodes, stats)
+    return PcnResult(Outcome.INDETERMINATE, None, None, setup.nodes, setup.stats())
 
 
 def count_packing_k_colorings(
@@ -283,9 +335,8 @@ def count_packing_k_colorings(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    budget = budget or SearchBudget()
-    searcher = _Searcher(dm, k, budget, counting=True)
-    count, _ = searcher.run()
-    if searcher.exhausted:
-        return CountResult(Outcome.INDETERMINATE, None, searcher.nodes)
-    return CountResult(Outcome.YES, count, searcher.nodes)
+    setup = _Setup(dm, budget or SearchBudget())
+    count, _, exhausted = setup.search(k, counting=True)
+    if exhausted:
+        return CountResult(Outcome.INDETERMINATE, None, setup.nodes, setup.stats())
+    return CountResult(Outcome.YES, count, setup.nodes, setup.stats())

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import time
+
+from corona_packing import cli
 from corona_packing.cli import main
 
 
@@ -129,3 +132,34 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("not a graph\n")
     code, _, err = run(capsys, "pcn", str(bad))
     assert code == 2
+
+
+def test_pcn_budget_values(tmp_path, capsys):
+    code, out, _ = run(capsys, "gen", "cycle-corona", "11", "3")
+    graph = tmp_path / "g.txt"
+    graph.write_text(out)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "pcn", str(graph), "--time-limit", "0")
+    assert code == 3 and "INDETERMINATE" in out
+    assert time.perf_counter() - start < 1  # no search ran: pcn=7 takes seconds
+    for flag in ("--time-limit", "--node-limit"):
+        code, out, err = run(capsys, "pcn", str(graph), flag, "-1")
+        assert code == 2 and out == "" and "must be >= 0" in err
+
+
+def test_oversized_graph_rejected_before_distances(tmp_path, capsys, monkeypatch):
+    def no_matrix(graph):
+        raise AssertionError("distance matrix built for an oversized graph")
+
+    monkeypatch.setattr(cli, "distances", no_matrix)
+    monkeypatch.setattr(cli, "weak_directed_distances", no_matrix)
+    big = tmp_path / "big.txt"
+    big.write_text("g 100000000 0 undirected\n")
+    coloring = tmp_path / "c.txt"
+    coloring.write_text("v 0 1\n")
+    for argv in (("pcn", big), ("check", big, coloring), ("export-dot", big)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *map(str, argv))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "100000000 vertices" in err
